@@ -3,15 +3,16 @@
 //! 1. freshness-based memoization vs recompute-always (WFLOW);
 //! 2. cost-model-gated pruning vs no pruning (PRUNE);
 //! 3. cached sample vs fresh sample per print;
-//! 4. cheapest-first async scheduling vs sequential execution (ASYNC).
+//! 4. detached per-action dispatch vs inline sequential execution (ASYNC).
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lux_core::prelude::*;
-use lux_engine::{CachedSample, CostModel, FrameMeta};
-use lux_recs::{execute_action, metadata_actions::Correlation, ActionContext, ActionRegistry};
+use lux_engine::governor::event_sink;
+use lux_engine::{CachedSample, FrameMeta};
+use lux_recs::{execute_action, metadata_actions::Correlation, run_pass, ActionRegistry, PassCtx};
 use lux_workloads::{communities, synthetic_wide};
 
 /// WFLOW ablation: repeated prints with and without memoization.
@@ -34,12 +35,26 @@ fn ablation_wflow(c: &mut Criterion) {
     g.finish();
 }
 
+/// A pass context over `df` with no intent, trace, governor, or permit.
+fn pass_ctx(df: &Arc<DataFrame>, meta: &Arc<FrameMeta>, config: LuxConfig) -> PassCtx {
+    PassCtx {
+        df: Arc::clone(df),
+        meta: Arc::clone(meta),
+        intent: Arc::new(vec![]),
+        intent_specs: Arc::new(vec![]),
+        config: Arc::new(config),
+        sample: None,
+        trace: None,
+        governor: None,
+        permit: None,
+    }
+}
+
 /// PRUNE ablation: the Correlation action on a wide frame, exact vs sampled
 /// two-pass.
 fn ablation_prune(c: &mut Criterion) {
-    let df = communities(10_000, 2);
-    let meta = FrameMeta::compute(&df, &HashMap::new());
-    let model = CostModel::default();
+    let df = Arc::new(communities(10_000, 2));
+    let meta = Arc::new(FrameMeta::compute(&df, &HashMap::new()));
     let mut g = c.benchmark_group("ablation_prune");
     g.sample_size(10);
     for (name, prune, sample_rows) in [("exact", false, 0usize), ("pruned_1k_sample", true, 1_000)]
@@ -52,17 +67,12 @@ fn ablation_prune(c: &mut Criterion) {
                     prune,
                     ..LuxConfig::default()
                 };
-                let ctx = ActionContext {
-                    df: &df,
-                    meta: &meta,
-                    intent: &[],
-                    intent_specs: &[],
-                    config: &config,
-                };
-                let sample = (sample_rows > 0).then(|| df.sample(sample_rows, 9));
+                let mut ctx = pass_ctx(&df, &meta, config);
+                ctx.sample = (sample_rows > 0).then(|| Arc::new(df.sample(sample_rows, 9)));
                 b.iter(|| {
-                    execute_action(&Correlation, &ctx, sample.as_ref(), &model)
-                        .unwrap()
+                    execute_action(&Correlation, &ctx, None, &event_sink())
+                        .expect("healthy action")
+                        .expect("candidates")
                         .vislist
                         .len()
                 })
@@ -87,28 +97,22 @@ fn ablation_sample_cache(c: &mut Criterion) {
     g.finish();
 }
 
-/// ASYNC ablation: full default action set, threaded vs sequential.
+/// ASYNC ablation: full default action set, detached vs inline dispatch.
 fn ablation_async(c: &mut Criterion) {
-    let df = synthetic_wide(30, 5_000, 4);
-    let meta = FrameMeta::compute(&df, &HashMap::new());
+    let df = Arc::new(synthetic_wide(30, 5_000, 4));
+    let meta = Arc::new(FrameMeta::compute(&df, &HashMap::new()));
     let registry = ActionRegistry::with_defaults();
     let mut g = c.benchmark_group("ablation_async");
     g.sample_size(10);
-    for (name, is_async) in [("sequential", false), ("async_cheapest_first", true)] {
+    for (name, is_async) in [("sequential", false), ("async_detached", true)] {
         g.bench_function(name, |b| {
             let config = LuxConfig {
                 r#async: is_async,
                 prune: false,
                 ..LuxConfig::default()
             };
-            let ctx = ActionContext {
-                df: &df,
-                meta: &meta,
-                intent: &[],
-                intent_specs: &[],
-                config: &config,
-            };
-            b.iter(|| lux_recs::run_actions(&registry, &ctx, None, None).len())
+            let ctx = pass_ctx(&df, &meta, config);
+            b.iter(|| run_pass(&registry, ctx.clone()).collect_all().len())
         });
     }
     g.finish();

@@ -27,12 +27,12 @@ use lux_engine::trace::{
     names as metric, MetricsRegistry, MetricsSnapshot, SpanId, TraceCollector,
 };
 use lux_engine::{
-    Admission, AdmissionController, AdmitRequest, BudgetHandle, CachedSample, DegradeLevel,
-    FlightRecorder, FlightSample, FrameMeta, LuxConfig, PassTrace, Priority, SemanticType,
-    ShedReason,
+    Admission, AdmissionController, AdmissionPermit, AdmitRequest, BudgetHandle, CachedSample,
+    DegradeLevel, FlightRecorder, FlightSample, FrameMeta, LuxConfig, PassTrace, Priority,
+    SemanticType, ShedReason,
 };
 use lux_intent::{Clause, Diagnostic};
-use lux_recs::{ActionContext, ActionHealth, ActionRegistry, ActionResult};
+use lux_recs::{ActionHealth, ActionRegistry, ActionResult, PassCtx, StreamingRun, TraceCtx};
 use lux_vis::{Vis, VisSpec};
 
 use crate::logging::{EventKind, SessionLogger};
@@ -169,7 +169,7 @@ impl LuxDataFrame {
         if !ldf.config.wflow {
             // no-opt baseline: recompute everything eagerly on every
             // operation that produces a frame.
-            let _ = ldf.compute_recommendations();
+            let _ = ldf.compute_recommendations_traced(None, None, None);
         }
         ldf
     }
@@ -327,46 +327,32 @@ impl LuxDataFrame {
                 collector.tag(id, "memo", outcome);
             }
         };
-        if self.config.wflow {
-            let mut cache = lock_recover(&self.cache);
-            if let Some(meta) = &cache.meta {
-                metrics.incr(metric::META_MEMO_HIT);
-                tag_memo("hit");
-                return Arc::clone(meta);
-            }
-            metrics.incr(metric::META_MEMO_MISS);
-            tag_memo("miss");
-            let computed = lux_engine::clock::now();
-            let meta = Arc::new(FrameMeta::compute_governed_par(
-                &self.df,
-                &self.overrides,
-                trace,
-                governor,
-                self.config.effective_threads(),
-            ));
-            metrics.observe(
-                metric::METADATA_LATENCY,
-                lux_engine::clock::elapsed(computed),
-            );
-            cache.meta = Some(Arc::clone(&meta));
-            meta
-        } else {
-            metrics.incr(metric::META_MEMO_MISS);
-            tag_memo("off");
-            let computed = lux_engine::clock::now();
-            let meta = Arc::new(FrameMeta::compute_governed_par(
-                &self.df,
-                &self.overrides,
-                trace,
-                governor,
-                self.config.effective_threads(),
-            ));
-            metrics.observe(
-                metric::METADATA_LATENCY,
-                lux_engine::clock::elapsed(computed),
-            );
-            meta
+        // Under WFLOW the cache lock is held across the compute so
+        // concurrent first reads scan the frame once.
+        let mut cache = self.config.wflow.then(|| lock_recover(&self.cache));
+        if let Some(meta) = cache.as_ref().and_then(|c| c.meta.clone()) {
+            metrics.incr(metric::META_MEMO_HIT);
+            tag_memo("hit");
+            return meta;
         }
+        metrics.incr(metric::META_MEMO_MISS);
+        tag_memo(if cache.is_some() { "miss" } else { "off" });
+        let computed = lux_engine::clock::now();
+        let meta = Arc::new(FrameMeta::compute_governed_par(
+            &self.df,
+            &self.overrides,
+            trace,
+            governor,
+            self.config.effective_threads(),
+        ));
+        metrics.observe(
+            metric::METADATA_LATENCY,
+            lux_engine::clock::elapsed(computed),
+        );
+        if let Some(cache) = &mut cache {
+            cache.meta = Some(Arc::clone(&meta));
+        }
+        meta
     }
 
     /// True when memoized recommendations are available.
@@ -401,8 +387,36 @@ impl LuxDataFrame {
         lux_intent::compile(&self.intent, &meta, &opts).unwrap_or_default()
     }
 
-    fn compute_recommendations(&self) -> (Arc<Vec<ActionResult>>, Arc<Vec<ActionHealth>>) {
-        self.compute_recommendations_traced(None, None, None)
+    /// Build this frame's [`PassCtx`] and start a
+    /// recommendation pass on it. Print and streaming differ only in what
+    /// they attach: trace, governor, admission permit, and (for a
+    /// client-deadline print) a config with a shrunk action budget.
+    fn start_pass(
+        &self,
+        config: &Arc<LuxConfig>,
+        trace: Option<(&Arc<TraceCollector>, SpanId)>,
+        governor: Option<Arc<BudgetHandle>>,
+        permit: Option<Arc<AdmissionPermit>>,
+    ) -> StreamingRun {
+        let meta = self.metadata();
+        let specs = match trace {
+            Some((collector, parent)) => {
+                collector.time(Some(parent), "intent.compile", || self.compiled_intent())
+            }
+            None => self.compiled_intent(),
+        };
+        let ctx = PassCtx {
+            df: Arc::clone(&self.df),
+            meta,
+            intent: Arc::new(self.intent.clone()),
+            intent_specs: Arc::new(specs),
+            config: Arc::clone(config),
+            sample: config.prune.then(|| self.sample.get(&self.df)),
+            trace: trace.map(|(collector, span)| TraceCtx::new(Arc::clone(collector), span)),
+            governor,
+            permit,
+        };
+        lux_recs::run_pass(&self.registry, ctx)
     }
 
     fn compute_recommendations_traced(
@@ -414,61 +428,18 @@ impl LuxDataFrame {
         // A caller-supplied config (deadline-shrunk action budget from a
         // propagated client deadline) replaces the frame's own for this one
         // pass; everything memoized (metadata, sample) is config-independent.
+        // The caller (print) already holds the pass's admission slot and
+        // blocks on the report, so no permit is threaded.
         let config = config_override.unwrap_or(&self.config);
-        let meta = self.metadata();
-        let specs = match trace {
-            Some((collector, parent)) => {
-                collector.time(Some(parent), "intent.compile", || self.compiled_intent())
-            }
-            None => self.compiled_intent(),
-        };
-        let sample = config.prune.then(|| self.sample.get(&self.df));
-        let report = if config.r#async {
-            // Owned executor: the frame is shared by Arc with detached
-            // workers, which lets the collector abandon hung actions at the
-            // hard cutoff instead of waiting on them.
-            let owned = lux_recs::OwnedContext {
-                df: Arc::clone(&self.df),
-                meta,
-                intent: Arc::new(self.intent.clone()),
-                intent_specs: Arc::new(specs),
-                config: Arc::clone(config),
-                sample,
-                trace: trace
-                    .map(|(collector, span)| lux_recs::TraceCtx::new(Arc::clone(collector), span)),
-                governor: governor.cloned(),
-                // The caller (print) already holds the pass's admission
-                // slot and blocks on collect_report, so none is threaded.
-                permit: None,
-            };
-            lux_recs::run_actions_streaming(&self.registry, owned).collect_report()
-        } else {
-            let ctx = ActionContext {
-                df: &self.df,
-                meta: &meta,
-                intent: &self.intent,
-                intent_specs: &specs,
-                config,
-            };
-            lux_recs::run_actions_report_governed(
-                &self.registry,
-                &ctx,
-                sample.as_deref(),
-                None,
-                trace,
-                governor,
-            )
-        };
+        let report = self
+            .start_pass(config, trace, governor.cloned(), None)
+            .collect_report();
         if let Some(log) = &self.logger {
             for h in report.problems() {
                 log.log(EventKind::ActionFault, h.to_string(), None);
             }
         }
         (Arc::new(report.results), Arc::new(report.health))
-    }
-
-    fn recommendations_with_health(&self) -> (Arc<Vec<ActionResult>>, Arc<Vec<ActionHealth>>) {
-        self.recommendations_with_health_traced(None, None, None)
     }
 
     fn recommendations_with_health_traced(
@@ -517,7 +488,7 @@ impl LuxDataFrame {
 
     /// The ranked recommendations, computed lazily and memoized under WFLOW.
     pub fn recommendations(&self) -> Arc<Vec<ActionResult>> {
-        self.recommendations_with_health().0
+        self.recommendations_with_health_traced(None, None, None).0
     }
 
     /// Per-action health of the most recent recommendation pass (computing
@@ -525,16 +496,17 @@ impl LuxDataFrame {
     /// partial ones, which failed and why, and which the circuit breaker has
     /// disabled. Memoized alongside the recommendations under WFLOW.
     pub fn action_health(&self) -> Arc<Vec<ActionHealth>> {
-        self.recommendations_with_health().1
+        self.recommendations_with_health_traced(None, None, None).1
     }
 
-    /// Begin a streaming recommendation run: dispatches every applicable
-    /// action onto background workers (cheapest first) and returns
-    /// immediately — the ASYNC experience of §8.2, where "recommendation
-    /// results can be streamed into the frontend widget as the computation
-    /// for each action completes". Bypasses the WFLOW memo (results go to
-    /// the caller, not the cache).
-    pub fn recommendations_streaming(&self) -> lux_recs::generate::StreamingRun {
+    /// Begin a streaming recommendation run: with ASYNC on, dispatches every
+    /// applicable action onto background workers and returns immediately —
+    /// the experience of §8.2, where "recommendation results can be
+    /// streamed into the frontend widget as the computation for each action
+    /// completes". With ASYNC off the actions run inline and the run is
+    /// complete on return. Bypasses the WFLOW memo (results go to the
+    /// caller, not the cache).
+    pub fn recommendations_streaming(&self) -> StreamingRun {
         // Background priority: streaming runs yield to interactive prints
         // and retry with jittered backoff before giving up. The jitter seed
         // derives from the frame shape so threads=1 runs stay deterministic.
@@ -550,28 +522,14 @@ impl LuxDataFrame {
                             None,
                         );
                     }
-                    return lux_recs::generate::StreamingRun::shed(&shed.reason);
+                    return StreamingRun::shed(&shed.reason);
                 }
             };
-        let meta = self.metadata();
-        let specs = self.compiled_intent();
-        let sample = self.config.prune.then(|| self.sample.get(&self.df));
         // Each streaming run is its own pass; open a fresh budget, shaped
         // by current admission pressure and charged to the global ledger.
         let (budget, floor) = permit.shape_budget(&self.config.budget);
         let governor = Arc::new(BudgetHandle::governed(budget, permit.ledger(), floor));
-        let owned = lux_recs::generate::OwnedContext {
-            df: Arc::clone(&self.df),
-            meta,
-            intent: Arc::new(self.intent.clone()),
-            intent_specs: Arc::new(specs),
-            config: Arc::clone(&self.config),
-            sample,
-            trace: None,
-            governor: Some(governor),
-            permit: Some(permit),
-        };
-        lux_recs::generate::run_actions_streaming(&self.registry, owned)
+        self.start_pass(&self.config, None, Some(governor), Some(permit))
     }
 
     /// The full span tree of the most recent [`LuxDataFrame::print`] on this
@@ -1050,7 +1008,7 @@ impl std::fmt::Display for LuxDataFrame {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lux_recs::ActionClass;
+    use lux_recs::{ActionClass, ActionContext};
 
     fn sample_ldf() -> LuxDataFrame {
         let df = DataFrameBuilder::new()

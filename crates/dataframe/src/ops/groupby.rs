@@ -295,24 +295,15 @@ impl DataFrame {
         self.groupby_impl(keys, usize::MAX, 1)
     }
 
-    /// [`DataFrame::groupby`] with the hash-grouping scan sharded over up to
-    /// `par` pool workers. Results are identical to the sequential kernel
-    /// for every `par` (group ids stay in global first-seen order).
-    pub fn groupby_par(&self, keys: &[&str], par: usize) -> Result<GroupBy<'_>> {
-        self.groupby_impl(keys, usize::MAX, par)
-    }
-
     /// Start a group-by that enumerates at most `max_groups` distinct keys;
     /// any further distinct keys fold into a single overflow group ("top-K +
     /// other"). This bounds the output cardinality — and therefore memory —
     /// no matter how pathological the key column is.
-    pub fn groupby_capped(&self, keys: &[&str], max_groups: usize) -> Result<GroupBy<'_>> {
-        self.groupby_impl(keys, max_groups.max(1), 1)
-    }
-
-    /// [`DataFrame::groupby_capped`] with a sharded parallel scan. When the
-    /// cap actually binds the kernel reruns sequentially (overflow folding
-    /// is order-sensitive), so capped results too are `par`-independent.
+    ///
+    /// The hash-grouping scan is sharded over up to `par` pool workers, and
+    /// group ids stay in global first-seen order, so results are identical
+    /// for every `par`. When the cap actually binds the kernel reruns
+    /// sequentially (overflow folding is order-sensitive).
     pub fn groupby_capped_par(
         &self,
         keys: &[&str],
@@ -370,27 +361,6 @@ impl DataFrame {
     /// count descending, with a labeled index.
     pub fn value_counts(&self, column: &str) -> Result<DataFrame> {
         let counted = self.groupby(&[column])?.count()?;
-        counted.sort_by(&["count"], false)
-    }
-
-    /// [`DataFrame::value_counts`] with at most `max_groups` output rows:
-    /// values beyond the cap are folded into an `"(other)"` row.
-    pub fn value_counts_capped(&self, column: &str, max_groups: usize) -> Result<DataFrame> {
-        let counted = self.groupby_capped(&[column], max_groups)?.count()?;
-        counted.sort_by(&["count"], false)
-    }
-
-    /// [`DataFrame::value_counts_capped`] with the grouping scan sharded
-    /// over up to `par` pool workers.
-    pub fn value_counts_capped_par(
-        &self,
-        column: &str,
-        max_groups: usize,
-        par: usize,
-    ) -> Result<DataFrame> {
-        let counted = self
-            .groupby_capped_par(&[column], max_groups, par)?
-            .count()?;
         counted.sort_by(&["count"], false)
     }
 }
@@ -786,7 +756,7 @@ mod tests {
             .int("v", 0..100)
             .build()
             .unwrap();
-        let g = df.groupby_capped(&["k"], 10).unwrap();
+        let g = df.groupby_capped_par(&["k"], 10, 1).unwrap();
         assert!(g.is_capped());
         assert_eq!(g.num_groups(), 11); // 10 kept + "(other)"
         let c = g.count().unwrap();
@@ -810,19 +780,28 @@ mod tests {
     #[test]
     fn capped_groupby_below_cap_is_exact() {
         let df = df();
-        let g = df.groupby_capped(&["dept"], 10).unwrap();
+        let g = df.groupby_capped_par(&["dept"], 10, 1).unwrap();
         assert!(!g.is_capped());
         assert_eq!(g.num_groups(), 2);
     }
 
     #[test]
-    fn value_counts_capped_bounds_rows() {
+    fn capped_value_counts_bounds_rows() {
         let df = DataFrameBuilder::new().int("k", 0..50).build().unwrap();
-        let vc = df.value_counts_capped("k", 5).unwrap();
+        let vc = capped_value_counts(&df, 5, 1);
         assert_eq!(vc.num_rows(), 6);
         // numeric overflow key renders as null
         assert!((0..6).any(|r| vc.value(r, "k").unwrap() == Value::Null));
         assert_eq!(vc.value(0, "count").unwrap(), Value::Int(45)); // "(other)" sorts first
+    }
+
+    /// Frequency table of `k` with at most `max_groups` rows (overflow
+    /// folded into `"(other)"`), sorted by count descending.
+    fn capped_value_counts(df: &DataFrame, max_groups: usize, par: usize) -> DataFrame {
+        df.groupby_capped_par(&["k"], max_groups, par)
+            .and_then(|g| g.count())
+            .and_then(|c| c.sort_by(&["count"], false))
+            .expect("capped value counts")
     }
 
     #[test]
@@ -875,18 +854,18 @@ mod tests {
     fn sharded_groupby_matches_sequential() {
         install_test_executor();
         let df = tall_df(20_000);
-        let seq = df.groupby(&["k"]).unwrap();
-        let par = df.groupby_par(&["k"], 8).unwrap();
+        let seq = df.groupby_capped_par(&["k"], usize::MAX, 1).unwrap();
+        let par = df.groupby_capped_par(&["k"], usize::MAX, 8).unwrap();
         assert_eq!(seq.group_ids(), par.group_ids());
         assert_eq!(seq.representatives, par.representatives);
         assert_eq!(seq.overflow, par.overflow);
         let a = df
-            .groupby_par(&["k"], 8)
+            .groupby_capped_par(&["k"], usize::MAX, 8)
             .unwrap()
             .agg(&[("v", Agg::Mean)])
             .unwrap();
         let b = df
-            .groupby(&["k"])
+            .groupby_capped_par(&["k"], usize::MAX, 1)
             .unwrap()
             .agg(&[("v", Agg::Mean)])
             .unwrap();
@@ -900,8 +879,12 @@ mod tests {
     fn sharded_multi_key_matches_sequential() {
         install_test_executor();
         let df = tall_df(20_000);
-        let seq = df.groupby(&["k", "kind"]).unwrap();
-        let par = df.groupby_par(&["k", "kind"], 8).unwrap();
+        let seq = df
+            .groupby_capped_par(&["k", "kind"], usize::MAX, 1)
+            .unwrap();
+        let par = df
+            .groupby_capped_par(&["k", "kind"], usize::MAX, 8)
+            .unwrap();
         assert_eq!(seq.group_ids(), par.group_ids());
         assert_eq!(seq.representatives, par.representatives);
     }
@@ -912,7 +895,7 @@ mod tests {
         // 113 distinct keys, cap 10: the cap binds, so the parallel entry
         // point must reproduce the sequential overflow fold exactly.
         let df = tall_df(20_000);
-        let seq = df.groupby_capped(&["k"], 10).unwrap();
+        let seq = df.groupby_capped_par(&["k"], 10, 1).unwrap();
         let par = df.groupby_capped_par(&["k"], 10, 8).unwrap();
         assert!(seq.is_capped() && par.is_capped());
         assert_eq!(seq.group_ids(), par.group_ids());
@@ -924,12 +907,12 @@ mod tests {
     fn sharded_capped_below_cap_stays_parallel_and_exact() {
         install_test_executor();
         let df = tall_df(20_000);
-        let seq = df.groupby_capped(&["k"], 1_000).unwrap();
+        let seq = df.groupby_capped_par(&["k"], 1_000, 1).unwrap();
         let par = df.groupby_capped_par(&["k"], 1_000, 8).unwrap();
         assert!(!seq.is_capped() && !par.is_capped());
         assert_eq!(seq.group_ids(), par.group_ids());
-        let a = df.value_counts_capped_par("k", 1_000, 8).unwrap();
-        let b = df.value_counts_capped("k", 1_000).unwrap();
+        let a = capped_value_counts(&df, 1_000, 8);
+        let b = capped_value_counts(&df, 1_000, 1);
         assert_eq!(a.num_rows(), b.num_rows());
         for r in 0..a.num_rows() {
             assert_eq!(a.value(r, "count").unwrap(), b.value(r, "count").unwrap());

@@ -12,7 +12,7 @@
 //! 1. **exact** — the normal path, within budget;
 //! 2. **sampled** — recompute over the cached sample (PRUNE machinery);
 //! 3. **capped cardinality** — "top-K + other" group enumeration
-//!    ([`lux_dataframe`'s `groupby_capped`]);
+//!    ([`lux_dataframe`'s `groupby_capped_par`]);
 //! 4. **skipped** — the step is dropped and a marker recorded.
 //!
 //! Each downgrade is recorded as a [`GovernorEvent`], surfaced as an

@@ -1,19 +1,26 @@
-//! Recommendation generation: runs the applicable actions over a dataframe,
-//! applying the PRUNE optimization inside each action and the ASYNC
-//! cost-based schedule across actions (paper §8.2).
+//! Recommendation generation: one executor runs the applicable actions over
+//! a dataframe, applying the PRUNE optimization inside each action and
+//! streaming each action's results as it completes (ASYNC, paper §8.2).
+//!
+//! A pass is a [`PassCtx`] handed to [`run_pass`]. Each action is one task
+//! — [`execute_action`]: a `generate` span, then score/rank/process — that
+//! runs either inline on the caller or, with `config.async`, on a detached
+//! pool lane. One collector settles every task: results stream out in
+//! completion order, while the health ledger and the governor events are
+//! settled in dispatch order, so a pass's report is the same whichever way
+//! it was dispatched and however its tasks interleaved.
 //!
 //! Every action runs under the fault model of [`crate::fault`]: generation,
 //! scoring, and processing are panic-isolated; each action gets a wall-clock
 //! budget derived from its cost estimate (`LuxConfig::action_budget` scaled
 //! by `CostModel::time_budget`) with cooperative checks between steps and —
-//! on the owned/streaming path — a hard cutoff that abandons hung workers;
-//! and a per-action circuit breaker skips actions that keep failing, with a
+//! on detached dispatch — a hard cutoff that abandons hung workers; and a
+//! per-action circuit breaker skips actions that keep failing, with a
 //! half-open re-probe after a cooldown of fresh frames. One misbehaving
 //! action can therefore never take down a recommendation pass: every healthy
 //! action's results are still served, and the per-action health ledger in
 //! [`RunReport`] says what happened to the rest.
 
-use std::collections::HashMap;
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Duration;
@@ -120,18 +127,19 @@ fn generate_isolated(
 /// partial results, `degraded: true`) once the deadline expires.
 fn execute_prepared(
     action: &dyn Action,
-    ctx: &ActionContext<'_>,
-    sample: Option<&DataFrame>,
-    model: &CostModel,
+    pass: &PassCtx,
     mut candidates: Vec<Candidate>,
     trace: Option<&TraceCtx>,
-    governor: Option<&Arc<BudgetHandle>>,
-    sink: Option<&EventSink>,
+    sink: &EventSink,
 ) -> std::result::Result<Option<ActionResult>, ActionError> {
     let start = clock::now();
     if candidates.is_empty() {
         return Ok(None);
     }
+    let ctx = &pass.action_context();
+    let sample = pass.sample.as_deref();
+    let governor = pass.governor.as_ref();
+    let model = &CostModel::default();
     let mut opts = ctx.process_options();
     opts.governor = governor.cloned();
     // SQL backend: count transient-error retries so they can be tagged
@@ -141,16 +149,12 @@ fn execute_prepared(
         .sql_backend
         .then(|| Arc::new(std::sync::atomic::AtomicU64::new(0)));
     opts.sql_attempts = sql_attempts.clone();
-    // Degradation events go to the caller's sink when one is attached (the
-    // parallel-actions path replays them in schedule order), otherwise live
-    // onto the governor. Returns how many events were emitted.
+    // Degradation events buffer in the action's sink; the collector replays
+    // them onto the governor in dispatch order. Returns how many events
+    // were emitted.
     let emit = |events: Vec<lux_engine::GovernorEvent>| -> usize {
         let n = events.len();
-        match (sink, governor) {
-            (Some(s), _) => lock_recover(s).extend(events),
-            (None, Some(g)) => g.absorb(events),
-            _ => {}
-        }
+        lock_recover(sink).extend(events);
         n
     };
     // Governor: the candidate search space is the first allocation-heavy
@@ -495,48 +499,71 @@ fn execute_prepared(
     }))
 }
 
+/// Everything one recommendation pass reads, owned (`Arc`'d) so detached
+/// workers can outlive the caller's borrows.
+#[derive(Clone)]
+pub struct PassCtx {
+    pub df: Arc<DataFrame>,
+    pub meta: Arc<FrameMeta>,
+    pub intent: Arc<Vec<lux_intent::Clause>>,
+    pub intent_specs: Arc<Vec<VisSpec>>,
+    pub config: Arc<lux_engine::LuxConfig>,
+    /// Cached sample for PRUNE's approximate first pass; `None` scores on
+    /// the full frame.
+    pub sample: Option<Arc<DataFrame>>,
+    /// Trace attachment for the pass (the span is the parent under which
+    /// per-action spans are recorded); `None` runs untraced.
+    pub trace: Option<TraceCtx>,
+    /// Per-pass resource governor shared by every action; `None` runs
+    /// ungoverned (no budget enforcement).
+    pub governor: Option<Arc<BudgetHandle>>,
+    /// Admission slot held for the duration of the pass. The collector
+    /// keeps it until every action has settled (or been abandoned), not
+    /// until the caller's stack frame unwinds.
+    pub permit: Option<Arc<lux_engine::AdmissionPermit>>,
+}
+
+impl PassCtx {
+    /// The borrowed view the [`Action`] trait sees.
+    pub fn action_context(&self) -> ActionContext<'_> {
+        ActionContext {
+            df: &self.df,
+            meta: &self.meta,
+            intent: &self.intent,
+            intent_specs: &self.intent_specs,
+            config: &self.config,
+        }
+    }
+}
+
 /// Execute one action end-to-end under the fault model: generate, score
 /// (approximately when PRUNE applies), rank, keep top-k, and process the
 /// survivors exactly. `Ok(None)` means the action generated no candidates
 /// (an invisible empty tab, not a fault).
-pub fn execute_action_guarded(
+///
+/// With a trace attached, the action's span gets the `sched.worker` that
+/// ran it, a `generate` phase span, and the score/process spans and
+/// decision tags of [`execute_prepared`]. Governor degradations are
+/// buffered into `events`, never recorded on the handle directly: the
+/// caller replays them in dispatch order.
+pub fn execute_action(
     action: &dyn Action,
-    ctx: &ActionContext<'_>,
-    sample: Option<&DataFrame>,
-    model: &CostModel,
-) -> std::result::Result<Option<ActionResult>, ActionError> {
-    execute_action_traced(action, ctx, sample, model, None)
-}
-
-/// [`execute_action_guarded`] with an optional trace attachment: records a
-/// `generate` phase span plus the score/process spans and decision tags of
-/// [`execute_prepared`] under the action's span.
-pub fn execute_action_traced(
-    action: &dyn Action,
-    ctx: &ActionContext<'_>,
-    sample: Option<&DataFrame>,
-    model: &CostModel,
+    ctx: &PassCtx,
     trace: Option<&TraceCtx>,
+    events: &EventSink,
 ) -> std::result::Result<Option<ActionResult>, ActionError> {
-    execute_action_governed(action, ctx, sample, model, trace, None)
-}
-
-/// [`execute_action_traced`] with an optional resource governor: candidate
-/// enumeration is capped at `config.budget.max_candidates`, processing runs
-/// with the governor attached (group-cardinality caps, scan shrinking), and
-/// any degradation surfaces on the result and the trace.
-pub fn execute_action_governed(
-    action: &dyn Action,
-    ctx: &ActionContext<'_>,
-    sample: Option<&DataFrame>,
-    model: &CostModel,
-    trace: Option<&TraceCtx>,
-    governor: Option<&Arc<BudgetHandle>>,
-) -> std::result::Result<Option<ActionResult>, ActionError> {
+    let actx = ctx.action_context();
     let candidates = match trace {
         Some(t) => {
+            t.tag(
+                "sched.worker",
+                match lux_engine::worker_index() {
+                    Some(w) => w.to_string(),
+                    None => "caller".to_string(),
+                },
+            );
             let gen_span = t.child("generate");
-            let generated = generate_isolated(action, ctx);
+            let generated = generate_isolated(action, &actx);
             match &generated {
                 Ok(c) => t.collector.tag(gen_span, "candidates", c.len().to_string()),
                 Err(_) => t.collector.tag(gen_span, "failed", "true"),
@@ -544,24 +571,9 @@ pub fn execute_action_governed(
             t.collector.end(gen_span);
             generated?
         }
-        None => generate_isolated(action, ctx)?,
+        None => generate_isolated(action, &actx)?,
     };
-    execute_prepared(
-        action, ctx, sample, model, candidates, trace, governor, None,
-    )
-}
-
-/// Fault-blind convenience wrapper around [`execute_action_guarded`]:
-/// failures of any kind collapse to `None`.
-pub fn execute_action(
-    action: &dyn Action,
-    ctx: &ActionContext<'_>,
-    sample: Option<&DataFrame>,
-    model: &CostModel,
-) -> Option<ActionResult> {
-    execute_action_guarded(action, ctx, sample, model)
-        .ok()
-        .flatten()
+    execute_prepared(action, ctx, candidates, trace, events)
 }
 
 /// Derive the health status for a delivered result.
@@ -573,323 +585,361 @@ fn delivery_status(result: &ActionResult) -> ActionStatus {
     }
 }
 
-/// Record the always-on metrics and (when attached) the closing span tags
-/// for one settled action. Shared by the borrowing and streaming paths so
-/// counters agree regardless of execution mode. `tripped` is whether the
-/// failure left the circuit breaker open.
-fn settle_observability(
-    outcome: &std::result::Result<Option<ActionResult>, ActionError>,
-    tripped: bool,
-    span: Option<(&TraceCollector, SpanId)>,
-) {
-    let metrics = MetricsRegistry::global();
-    match outcome {
-        Ok(Some(result)) => {
-            metrics.incr(if result.degraded {
-                metric::ACTIONS_DEGRADED
-            } else {
-                metric::ACTIONS_OK
-            });
-            metrics.observe(
-                metric::ACTION_LATENCY,
-                Duration::from_secs_f64(result.elapsed),
-            );
-            if let Some((collector, id)) = span {
-                collector.tag(
-                    id,
-                    "status",
-                    if result.degraded { "degraded" } else { "ok" },
+/// A recommendation pass streaming its results.
+///
+/// This is the ASYNC optimization as the user experiences it (paper §8.2):
+/// "recommendation results can be streamed into the frontend widget as the
+/// computation for each action completes ... instead of incurring a high
+/// wait time". Results arrive in completion order; once every action has
+/// settled (or the hard cutoff abandoned it) the collector hands over the
+/// health ledger in dispatch order. Dropping the handle detaches
+/// everything cleanly.
+pub struct StreamingRun {
+    results: mpsc::Receiver<ActionResult>,
+    ledger: mpsc::Receiver<Vec<ActionHealth>>,
+    expected: usize,
+}
+
+impl StreamingRun {
+    /// Receive the next completed action (blocks). `None` once all done.
+    pub fn next_result(&self) -> Option<ActionResult> {
+        self.results.recv().ok()
+    }
+
+    /// How many actions were dispatched (disabled actions are not).
+    pub fn expected(&self) -> usize {
+        self.expected
+    }
+
+    /// Drain everything (blocks until every action settles or the hard
+    /// cutoff abandons it) and return results plus the health ledger.
+    /// Results are ordered cheapest first; equal estimates keep dispatch
+    /// order, so the tab order never depends on completion order.
+    pub fn collect_report(self) -> RunReport {
+        let mut results: Vec<ActionResult> = self.results.iter().collect();
+        let health = self.ledger.recv().unwrap_or_default();
+        let dispatched = |r: &ActionResult| health.iter().position(|h| h.action == r.action);
+        results.sort_by(|a, b| {
+            lux_engine::cmp_cost_asc(a.estimated_cost, b.estimated_cost)
+                .then_with(|| dispatched(a).cmp(&dispatched(b)))
+        });
+        RunReport { results, health }
+    }
+
+    /// Drain every remaining result (blocks until all actions settle).
+    pub fn collect_all(self) -> Vec<ActionResult> {
+        self.collect_report().results
+    }
+
+    /// A run that was refused admission: no actions dispatched, and a
+    /// single health entry carrying the shed reason so report consumers
+    /// see *why* nothing ran instead of an empty report that looks like
+    /// success.
+    pub fn shed(reason: &str) -> StreamingRun {
+        let (_, results) = mpsc::channel();
+        let (ledger_tx, ledger) = mpsc::channel();
+        let _ = ledger_tx.send(vec![ActionHealth::new(
+            "recommendations",
+            ActionStatus::Failed(format!("shed by admission control: {reason}")),
+        )]);
+        StreamingRun {
+            results,
+            ledger,
+            expected: 0,
+        }
+    }
+}
+
+type Outcome = std::result::Result<Option<ActionResult>, ActionError>;
+
+/// One dispatched action as the collector tracks it.
+struct Dispatched {
+    name: String,
+    span: Option<SpanId>,
+    events: EventSink,
+    settled: bool,
+    /// Ledger entry once settled; empty actions have none.
+    health: Option<ActionHealth>,
+}
+
+/// The pass's single settle point: breaker bookkeeping, always-on metrics,
+/// closing span tags, result streaming, and the dispatch-ordered ledger and
+/// governor replay. It owns the breaker so health stays correct even when
+/// the consumer drops the [`StreamingRun`] without draining it.
+struct Collector {
+    ctx: Arc<PassCtx>,
+    breaker: Arc<CircuitBreaker>,
+    dispatched: Vec<Dispatched>,
+    /// Disabled entries first; settled actions append in dispatch order.
+    ledger: Vec<ActionHealth>,
+    results: mpsc::Sender<ActionResult>,
+    ledger_tx: mpsc::Sender<Vec<ActionHealth>>,
+}
+
+impl Collector {
+    /// Queue `action` at the next dispatch index: open its span and its
+    /// event sink.
+    fn dispatch(&mut self, action: &dyn Action) -> (Option<TraceCtx>, EventSink) {
+        let order = self.dispatched.len();
+        let trace = self.ctx.trace.as_ref().map(|t| {
+            let id = t
+                .collector
+                .begin(Some(t.span), format!("action:{}", action.name()));
+            t.collector.tag(id, "sched.order", order.to_string());
+            TraceCtx::new(Arc::clone(&t.collector), id)
+        });
+        let events = event_sink();
+        self.dispatched.push(Dispatched {
+            name: action.name().to_string(),
+            span: trace.as_ref().map(|t| t.span),
+            events: Arc::clone(&events),
+            settled: false,
+            health: None,
+        });
+        (trace, events)
+    }
+
+    /// Fold one action's outcome: breaker, metrics, span, and (for a
+    /// delivered result) the stream.
+    fn settle(&mut self, index: usize, outcome: Outcome) {
+        let d = &mut self.dispatched[index];
+        let tripped = match &outcome {
+            // Degraded still counts as delivery for the breaker: the action
+            // is healthy, the budget was just too tight for exact results.
+            Ok(_) => {
+                self.breaker.record_success(&d.name);
+                false
+            }
+            Err(err) => self.breaker.record_failure(
+                &d.name,
+                &err.to_string(),
+                self.ctx.config.breaker_threshold,
+            ),
+        };
+        let metrics = MetricsRegistry::global();
+        let span = self
+            .ctx
+            .trace
+            .as_ref()
+            .and_then(|t| d.span.map(|id| (t.collector.as_ref(), id)));
+        d.settled = true;
+        d.health = match outcome {
+            Ok(Some(result)) => {
+                metrics.incr(if result.degraded {
+                    metric::ACTIONS_DEGRADED
+                } else {
+                    metric::ACTIONS_OK
+                });
+                metrics.observe(
+                    metric::ACTION_LATENCY,
+                    Duration::from_secs_f64(result.elapsed),
                 );
-                collector.tag(id, "cost.actual_ms", format!("{:.2}", result.elapsed * 1e3));
-                if let Some(reason) = &result.degraded_reason {
-                    collector.tag(id, "degraded.reason", reason.clone());
+                if let Some((collector, id)) = span {
+                    collector.tag(
+                        id,
+                        "status",
+                        if result.degraded { "degraded" } else { "ok" },
+                    );
+                    collector.tag(id, "cost.actual_ms", format!("{:.2}", result.elapsed * 1e3));
+                    if let Some(reason) = &result.degraded_reason {
+                        collector.tag(id, "degraded.reason", reason.clone());
+                    }
+                    collector.end(id);
                 }
-                collector.end(id);
+                let health = ActionHealth::new(&d.name, delivery_status(&result));
+                let _ = self.results.send(result);
+                Some(health)
             }
-        }
-        Ok(None) => {
-            metrics.incr(metric::ACTIONS_OK);
-            if let Some((collector, id)) = span {
-                collector.tag(id, "status", "empty");
-                collector.end(id);
+            // No candidates: not a fault, and not a visible tab either —
+            // no health entry.
+            Ok(None) => {
+                metrics.incr(metric::ACTIONS_OK);
+                if let Some((collector, id)) = span {
+                    collector.tag(id, "status", "empty");
+                    collector.end(id);
+                }
+                None
             }
-        }
-        Err(err) => {
+            Err(err) => {
+                metrics.incr(metric::ACTIONS_FAILED);
+                if tripped {
+                    metrics.incr(metric::BREAKER_TRIPS);
+                }
+                if let Some((collector, id)) = span {
+                    collector.tag(id, "status", "failed");
+                    collector.tag(id, "error", err.to_string());
+                    collector.end(id);
+                }
+                Some(ActionHealth::new(
+                    &d.name,
+                    ActionStatus::Failed(err.to_string()),
+                ))
+            }
+        };
+    }
+
+    /// Close the pass: abandon whatever is still outstanding, replay the
+    /// settled actions' governor events and emit the ledger — both in
+    /// dispatch order, so neither depends on completion order — then
+    /// release the pass context (governor, admission slot) before handing
+    /// the ledger over.
+    fn finish(mut self, hard_budget: Option<Duration>) {
+        let metrics = MetricsRegistry::global();
+        let reason = match hard_budget {
+            Some(b) => format!("exceeded hard deadline ({b:?}); worker abandoned"),
+            None => "worker terminated without reporting".to_string(),
+        };
+        for d in self.dispatched.iter_mut().filter(|d| !d.settled) {
+            let tripped =
+                self.breaker
+                    .record_failure(&d.name, &reason, self.ctx.config.breaker_threshold);
             metrics.incr(metric::ACTIONS_FAILED);
             if tripped {
                 metrics.incr(metric::BREAKER_TRIPS);
             }
-            if let Some((collector, id)) = span {
-                collector.tag(id, "status", "failed");
-                collector.tag(id, "error", err.to_string());
-                collector.end(id);
+            if let (Some(t), Some(id)) = (&self.ctx.trace, d.span) {
+                t.collector.tag(id, "status", "abandoned");
+                t.collector.tag(id, "error", reason.clone());
+                t.collector.end(id);
             }
-        }
-    }
-}
-
-/// Fold one guarded-execution outcome into the report, the breaker, the
-/// metrics registry/trace, and the caller's streaming callback.
-fn absorb_outcome(
-    name: &str,
-    outcome: std::result::Result<Option<ActionResult>, ActionError>,
-    report: &mut RunReport,
-    breaker: &CircuitBreaker,
-    threshold: u32,
-    on_result: &mut Option<&mut dyn FnMut(&ActionResult)>,
-    span: Option<(&TraceCollector, SpanId)>,
-) {
-    let tripped = match &outcome {
-        // Degraded still counts as delivery for the breaker: the action
-        // is healthy, the budget was just too tight for exact results.
-        Ok(_) => {
-            breaker.record_success(name);
-            false
-        }
-        Err(err) => breaker.record_failure(name, &err.to_string(), threshold),
-    };
-    settle_observability(&outcome, tripped, span);
-    match outcome {
-        Ok(Some(result)) => {
-            report
-                .health
-                .push(ActionHealth::new(name, delivery_status(&result)));
-            if let Some(cb) = on_result.as_deref_mut() {
-                cb(&result);
-            }
-            report.results.push(result);
-        }
-        // No candidates: not a fault, and (as before the fault layer) not a
-        // visible tab either — no health entry.
-        Ok(None) => {}
-        Err(err) => {
-            report.health.push(ActionHealth::new(
-                name,
-                ActionStatus::Failed(err.to_string()),
+            d.health = Some(ActionHealth::new(
+                &d.name,
+                ActionStatus::Failed(reason.clone()),
             ));
         }
+        let Collector {
+            ctx,
+            dispatched,
+            mut ledger,
+            results,
+            ledger_tx,
+            ..
+        } = self;
+        for d in dispatched {
+            if let (Some(g), true) = (&ctx.governor, d.settled) {
+                g.absorb(drain_sink(&d.events));
+            }
+            ledger.extend(d.health);
+        }
+        drop(ctx);
+        drop(results);
+        let _ = ledger_tx.send(ledger);
     }
 }
 
-/// Run every applicable action under the fault model and return both the
-/// healthy results and the per-action health ledger.
+/// Run one recommendation pass: every applicable action the circuit
+/// breaker admits, each through [`execute_action`], all settled by one
+/// collector.
 ///
-/// With `config.async` the actions run on scoped worker threads scheduled
-/// cheapest-first and `on_result` fires as each completes (streaming, as in
-/// the paper); otherwise they run sequentially cheapest-first. Results are
-/// ordered by estimated cost. Note the scoped (borrowing) path has panic
-/// isolation and cooperative deadlines but no hard cutoff — an action that
-/// blocks inside one call can delay the pass; the owned path
-/// ([`run_actions_streaming`]) additionally abandons hung workers.
-pub fn run_actions_report(
-    registry: &ActionRegistry,
-    ctx: &ActionContext<'_>,
-    sample: Option<&DataFrame>,
-    on_result: Option<&mut dyn FnMut(&ActionResult)>,
-) -> RunReport {
-    run_actions_report_traced(registry, ctx, sample, on_result, None)
-}
-
-/// [`run_actions_report`] with an optional trace attachment: every action
-/// gets an `action:<name>` span under the given parent — begun when the
-/// action is queued for generation, ended when its outcome settles — that
-/// carries the generate/score/process phase spans, the PRUNE/deadline
-/// decision tags, and the cheapest-first `sched.order` index.
-pub fn run_actions_report_traced(
-    registry: &ActionRegistry,
-    ctx: &ActionContext<'_>,
-    sample: Option<&DataFrame>,
-    on_result: Option<&mut dyn FnMut(&ActionResult)>,
-    trace: Option<(&Arc<TraceCollector>, SpanId)>,
-) -> RunReport {
-    run_actions_report_governed(registry, ctx, sample, on_result, trace, None)
-}
-
-/// [`run_actions_report_traced`] with an optional per-pass resource
-/// governor shared by every action in the pass (see
-/// `lux_engine::governor`): allocation-heavy steps degrade against the
-/// shared budget instead of exhausting memory.
-pub fn run_actions_report_governed(
-    registry: &ActionRegistry,
-    ctx: &ActionContext<'_>,
-    sample: Option<&DataFrame>,
-    mut on_result: Option<&mut dyn FnMut(&ActionResult)>,
-    trace: Option<(&Arc<TraceCollector>, SpanId)>,
-    governor: Option<&Arc<BudgetHandle>>,
-) -> RunReport {
-    let model = CostModel::default();
-    let breaker = registry.breaker();
+/// The breaker gate runs on the caller. Dispatch is the only fork: with
+/// `config.async` each action is a detached-lane pool task and the call
+/// returns immediately; a collector thread streams results as they
+/// complete and enforces the hard cutoff at `action_budget ×
+/// CostModel::HARD_CUTOFF_FACTOR` — actions still running then are
+/// abandoned, reported as failed, and charged to their breaker. Otherwise
+/// every action runs inline on the caller in registry order, under
+/// cooperative deadlines only, and the run is complete on return.
+pub fn run_pass(registry: &ActionRegistry, ctx: PassCtx) -> StreamingRun {
+    let breaker = Arc::clone(registry.breaker());
     breaker.begin_frame();
-    let threshold = ctx.config.breaker_threshold;
-    let mut report = RunReport::default();
-    let span_ref = |s: Option<SpanId>| {
-        trace.and_then(|(c, _)| s.map(|id| (c.as_ref() as &TraceCollector, id)))
+    let ctx = Arc::new(ctx);
+    let (results_tx, results) = mpsc::channel();
+    let (ledger_tx, ledger) = mpsc::channel();
+    let mut collector = Collector {
+        ctx: Arc::clone(&ctx),
+        breaker,
+        dispatched: Vec::new(),
+        ledger: Vec::new(),
+        results: results_tx,
+        ledger_tx,
     };
 
-    // Breaker gate, then one isolated generation pass per action: the
-    // candidates drive both the cheapest-first schedule and execution (so
-    // generation runs exactly once per action per pass).
-    let mut prepared: Vec<(Arc<dyn Action>, Vec<Candidate>, f64, Option<SpanId>)> = Vec::new();
-    for action in registry.applicable(ctx) {
-        match breaker.decision(action.name(), ctx.config.breaker_cooldown) {
+    // Applicability checks and the breaker gate are metadata-only (no user
+    // compute) and must see the registry borrow.
+    let mut runnable: Vec<Arc<dyn Action>> = Vec::new();
+    for action in registry.applicable(&ctx.action_context()) {
+        match collector
+            .breaker
+            .decision(action.name(), ctx.config.breaker_cooldown)
+        {
             BreakerDecision::Skip(reason) => {
                 MetricsRegistry::global().incr(metric::ACTIONS_DISABLED);
-                if let Some((collector, parent)) = trace {
-                    let id = collector.begin(Some(parent), &format!("action:{}", action.name()));
-                    collector.tag(id, "status", "disabled");
-                    collector.end(id);
+                if let Some(t) = &ctx.trace {
+                    let id = t
+                        .collector
+                        .begin(Some(t.span), format!("action:{}", action.name()));
+                    t.collector.tag(id, "status", "disabled");
+                    t.collector.end(id);
                 }
-                report.health.push(ActionHealth::new(
+                collector.ledger.push(ActionHealth::new(
                     action.name(),
                     ActionStatus::Disabled(reason),
                 ));
-                continue;
             }
-            BreakerDecision::Run | BreakerDecision::Probe => {}
-        }
-        let span = trace.map(|(collector, parent)| {
-            collector.begin(Some(parent), &format!("action:{}", action.name()))
-        });
-        let gen_span =
-            span.and_then(|s| trace.map(|(collector, _)| collector.begin(Some(s), "generate")));
-        let generated = generate_isolated(action.as_ref(), ctx);
-        if let (Some((collector, _)), Some(g)) = (trace, gen_span) {
-            if let Ok(candidates) = &generated {
-                collector.tag(g, "candidates", candidates.len().to_string());
-            }
-            collector.end(g);
-        }
-        match generated {
-            Ok(candidates) if candidates.is_empty() => absorb_outcome(
-                action.name(),
-                Ok(None),
-                &mut report,
-                breaker,
-                threshold,
-                &mut on_result,
-                span_ref(span),
-            ),
-            Ok(candidates) => {
-                let cost = estimate_action(&candidates, ctx.meta, ctx.df.num_rows(), &model);
-                prepared.push((action, candidates, cost, span));
-            }
-            Err(err) => absorb_outcome(
-                action.name(),
-                Err(err),
-                &mut report,
-                breaker,
-                threshold,
-                &mut on_result,
-                span_ref(span),
-            ),
+            BreakerDecision::Run | BreakerDecision::Probe => runnable.push(action),
         }
     }
-    prepared.sort_by(|a, b| lux_engine::cmp_cost_asc(a.2, b.2));
-    if let Some((collector, _)) = trace {
-        for (order, (_, _, _, span)) in prepared.iter().enumerate() {
-            if let Some(id) = span {
-                collector.tag(*id, "sched.order", order.to_string());
-            }
-        }
-    }
+    let expected = runnable.len();
 
-    let par = ctx.config.effective_threads();
-    if ctx.config.r#async && par > 1 && prepared.len() > 1 {
-        // Cheapest-first dispatch as work-pool fork-join tasks (the caller
-        // participates while waiting); outcomes land in per-action slots
-        // and are absorbed in schedule order, so the report — results,
-        // health ledger, callbacks — is identical to the sequential path.
-        let outcomes =
-            lux_engine::parallel_map(par, prepared, |_, (action, candidates, _, span)| {
-                let tctx = match (trace, span) {
-                    (Some((collector, _)), Some(id)) => {
-                        Some(TraceCtx::new(Arc::clone(collector), id))
-                    }
-                    _ => None,
+    if ctx.config.r#async {
+        let (worker_tx, worker_rx) = mpsc::channel::<(usize, Outcome)>();
+        for (index, action) in runnable.into_iter().enumerate() {
+            let (trace, events) = collector.dispatch(action.as_ref());
+            let ctx = Arc::clone(&ctx);
+            let worker_tx = worker_tx.clone();
+            // Detached-lane pool task rather than a dedicated thread: cheap
+            // actions reuse warm threads instead of paying a spawn each,
+            // while a task abandoned at the hard cutoff only parks its own
+            // lane thread — it can never occupy the fixed work-stealing
+            // workers that run the per-vis fan-out inside healthy actions.
+            lux_engine::pool::global().spawn_detached(Box::new(move || {
+                let outcome = execute_action(action.as_ref(), &ctx, trace.as_ref(), &events);
+                // Release this task's context — and with it its governor/
+                // ledger handle — *before* signaling completion, so the
+                // caller's budget drop is the last one and the global
+                // ledger reflects the pass's exit synchronously.
+                drop(action);
+                drop(ctx);
+                let _ = worker_tx.send((index, outcome));
+            }));
+        }
+        drop(worker_tx);
+        let hard_budget = ctx
+            .config
+            .action_budget
+            .map(|base| base * CostModel::HARD_CUTOFF_FACTOR);
+        std::thread::spawn(move || {
+            let cutoff = hard_budget.map(|b| clock::now() + b);
+            for _ in 0..expected {
+                let received = match cutoff {
+                    Some(at) => at
+                        .checked_duration_since(clock::now())
+                        .filter(|d| !d.is_zero())
+                        .and_then(|left| worker_rx.recv_timeout(left).ok()),
+                    None => worker_rx.recv().ok(),
                 };
-                if let Some(t) = &tctx {
-                    t.tag(
-                        "sched.worker",
-                        match lux_engine::worker_index() {
-                            Some(w) => w.to_string(),
-                            None => "caller".to_string(),
-                        },
-                    );
-                }
-                // Per-action event sink: governor degradations buffer here and
-                // are replayed onto the handle in schedule order below, so the
-                // pass's event list matches the sequential path exactly.
-                let asink = governor.is_some().then(event_sink);
-                let outcome = execute_prepared(
-                    action.as_ref(),
-                    ctx,
-                    sample,
-                    &model,
-                    candidates,
-                    tctx.as_ref(),
-                    governor,
-                    asink.as_ref(),
-                );
-                (action, outcome, span, asink)
-            });
-        for (action, outcome, span, asink) in outcomes {
-            if let (Some(g), Some(s)) = (governor, &asink) {
-                g.absorb(drain_sink(s));
+                // Cutoff reached, or a worker died without reporting (should
+                // be unreachable: all action code is isolated).
+                let Some((index, outcome)) = received else {
+                    break;
+                };
+                collector.settle(index, outcome);
             }
-            absorb_outcome(
-                action.name(),
-                outcome,
-                &mut report,
-                breaker,
-                threshold,
-                &mut on_result,
-                span_ref(span),
-            );
-        }
+            collector.finish(hard_budget);
+        });
     } else {
-        for (action, candidates, _, span) in prepared {
-            let tctx = match (trace, span) {
-                (Some((collector, _)), Some(id)) => Some(TraceCtx::new(Arc::clone(collector), id)),
-                _ => None,
-            };
-            let outcome = execute_prepared(
-                action.as_ref(),
-                ctx,
-                sample,
-                &model,
-                candidates,
-                tctx.as_ref(),
-                governor,
-                None,
-            );
-            absorb_outcome(
-                action.name(),
-                outcome,
-                &mut report,
-                breaker,
-                threshold,
-                &mut on_result,
-                span_ref(span),
-            );
+        for (index, action) in runnable.into_iter().enumerate() {
+            let (trace, events) = collector.dispatch(action.as_ref());
+            let outcome = execute_action(action.as_ref(), &ctx, trace.as_ref(), &events);
+            collector.settle(index, outcome);
         }
+        collector.finish(None);
     }
-
-    // Deterministic display order: cheapest action first (NaN costs last).
-    report
-        .results
-        .sort_by(|a, b| lux_engine::cmp_cost_asc(a.estimated_cost, b.estimated_cost));
-    report
-}
-
-/// Run every applicable action, returning only the healthy results (the
-/// pre-fault-layer surface; health is discarded).
-pub fn run_actions(
-    registry: &ActionRegistry,
-    ctx: &ActionContext<'_>,
-    sample: Option<&DataFrame>,
-    on_result: Option<&mut dyn FnMut(&ActionResult)>,
-) -> Vec<ActionResult> {
-    run_actions_report(registry, ctx, sample, on_result).results
+    StreamingRun {
+        results,
+        ledger,
+        expected,
+    }
 }
 
 #[cfg(test)]
@@ -901,8 +951,8 @@ mod tests {
     use std::collections::HashMap;
     use std::time::Duration;
 
-    fn fixture(rows: usize) -> (DataFrame, FrameMeta, LuxConfig) {
-        let df = DataFrameBuilder::new()
+    fn frame(rows: usize) -> DataFrame {
+        DataFrameBuilder::new()
             .float("a", (0..rows).map(|i| i as f64))
             .float("b", (0..rows).map(|i| (i * 2) as f64))
             .float("c", (0..rows).map(|i| ((i * 7919) % 100) as f64))
@@ -911,22 +961,33 @@ mod tests {
                 (0..rows).map(|i| if i % 2 == 0 { "S" } else { "E" }),
             )
             .build()
-            .unwrap();
+            .expect("fixture frame")
+    }
+
+    fn pass_ctx(df: DataFrame, config: LuxConfig) -> PassCtx {
         let meta = FrameMeta::compute(&df, &HashMap::new());
-        (df, meta, LuxConfig::default())
+        PassCtx {
+            df: Arc::new(df),
+            meta: Arc::new(meta),
+            intent: Arc::new(vec![]),
+            intent_specs: Arc::new(vec![]),
+            config: Arc::new(config),
+            sample: None,
+            trace: None,
+            governor: None,
+            permit: None,
+        }
+    }
+
+    fn correlation(ctx: &PassCtx) -> ActionResult {
+        execute_action(&Correlation, ctx, None, &event_sink())
+            .expect("healthy action")
+            .expect("candidates")
     }
 
     #[test]
     fn execute_correlation_ranks_by_r() {
-        let (df, meta, config) = fixture(100);
-        let ctx = ActionContext {
-            df: &df,
-            meta: &meta,
-            intent: &[],
-            intent_specs: &[],
-            config: &config,
-        };
-        let r = execute_action(&Correlation, &ctx, None, &CostModel::default()).unwrap();
+        let r = correlation(&pass_ctx(frame(100), LuxConfig::default()));
         assert_eq!(r.action, "Correlation");
         // a-b are perfectly correlated; that pair must rank first.
         let top = &r.vislist.visualizations[0];
@@ -938,17 +999,9 @@ mod tests {
     }
 
     #[test]
-    fn run_actions_returns_all_classes_on_plain_frame() {
-        let (df, meta, config) = fixture(60);
-        let ctx = ActionContext {
-            df: &df,
-            meta: &meta,
-            intent: &[],
-            intent_specs: &[],
-            config: &config,
-        };
+    fn run_pass_returns_all_classes_on_plain_frame() {
         let registry = ActionRegistry::with_defaults();
-        let results = run_actions(&registry, &ctx, None, None);
+        let results = run_pass(&registry, pass_ctx(frame(60), LuxConfig::default())).collect_all();
         let names: Vec<&str> = results.iter().map(|r| r.action.as_str()).collect();
         assert!(names.contains(&"Correlation"));
         assert!(names.contains(&"Distribution"));
@@ -959,27 +1012,18 @@ mod tests {
 
     #[test]
     fn async_and_sync_agree_on_content() {
-        let (df, meta, mut config) = fixture(80);
+        // Inline dispatch (async off) and detached dispatch (async on) must
+        // serve the same tabs in the same order with the same specs.
         let registry = ActionRegistry::with_defaults();
-        config.r#async = false;
-        let ctx = ActionContext {
-            df: &df,
-            meta: &meta,
-            intent: &[],
-            intent_specs: &[],
-            config: &config,
+        let run = |r#async: bool| {
+            let config = LuxConfig {
+                r#async,
+                ..LuxConfig::default()
+            };
+            run_pass(&registry, pass_ctx(frame(80), config)).collect_all()
         };
-        let sync = run_actions(&registry, &ctx, None, None);
-        let mut config2 = config.clone();
-        config2.r#async = true;
-        let ctx2 = ActionContext {
-            df: &df,
-            meta: &meta,
-            intent: &[],
-            intent_specs: &[],
-            config: &config2,
-        };
-        let asynced = run_actions(&registry, &ctx2, None, None);
+        let sync = run(false);
+        let asynced = run(true);
         let names = |rs: &[ActionResult]| rs.iter().map(|r| r.action.clone()).collect::<Vec<_>>();
         assert_eq!(names(&sync), names(&asynced));
         for (a, b) in sync.iter().zip(&asynced) {
@@ -991,52 +1035,45 @@ mod tests {
     }
 
     #[test]
-    fn streaming_callback_fires_per_action() {
-        let (df, meta, config) = fixture(50);
+    fn streaming_delivers_each_action_as_it_settles() {
         let registry = ActionRegistry::with_defaults();
-        let ctx = ActionContext {
-            df: &df,
-            meta: &meta,
-            intent: &[],
-            intent_specs: &[],
-            config: &config,
-        };
+        let run = run_pass(&registry, pass_ctx(frame(50), LuxConfig::default()));
         let mut seen = 0usize;
-        let mut cb = |_r: &ActionResult| seen += 1;
-        let results = run_actions(&registry, &ctx, None, Some(&mut cb));
-        assert_eq!(seen, results.len());
+        while run.next_result().is_some() {
+            seen += 1;
+        }
+        let report = run.collect_report();
+        let delivered = report
+            .health
+            .iter()
+            .filter(|h| matches!(h.status, ActionStatus::Ok | ActionStatus::Degraded(_)))
+            .count();
+        assert_eq!(seen, delivered);
         assert!(seen >= 3);
     }
 
     #[test]
     fn top_k_truncation() {
-        let (df, meta, mut config) = fixture(30);
-        config.top_k = 2;
-        let ctx = ActionContext {
-            df: &df,
-            meta: &meta,
-            intent: &[],
-            intent_specs: &[],
-            config: &config,
+        let config = LuxConfig {
+            top_k: 2,
+            ..LuxConfig::default()
         };
-        let r = execute_action(&Correlation, &ctx, None, &CostModel::default()).unwrap();
+        let r = correlation(&pass_ctx(frame(30), config));
         assert!(r.vislist.len() <= 2);
     }
 
     #[test]
     fn prune_with_sample_keeps_top_pair() {
-        let (df, meta, mut config) = fixture(2000);
-        config.prune = true;
-        config.top_k = 1;
-        let sample = df.sample(100, 7);
-        let ctx = ActionContext {
-            df: &df,
-            meta: &meta,
-            intent: &[],
-            intent_specs: &[],
-            config: &config,
+        let config = LuxConfig {
+            prune: true,
+            top_k: 1,
+            ..LuxConfig::default()
         };
-        let r = execute_action(&Correlation, &ctx, Some(&sample), &CostModel::default()).unwrap();
+        let df = frame(2000);
+        let sample = df.sample(100, 7);
+        let mut ctx = pass_ctx(df, config);
+        ctx.sample = Some(Arc::new(sample));
+        let r = correlation(&ctx);
         let attrs = r.vislist.visualizations[0].spec.attributes();
         assert!(attrs.contains(&"a") && attrs.contains(&"b"));
         // final scores are exact (recomputed), so the perfect pair scores 1
@@ -1045,17 +1082,10 @@ mod tests {
 
     #[test]
     fn panicking_action_becomes_failed_health_not_a_crash() {
-        let (df, meta, config) = fixture(40);
-        let ctx = ActionContext {
-            df: &df,
-            meta: &meta,
-            intent: &[],
-            intent_specs: &[],
-            config: &config,
-        };
         let mut registry = ActionRegistry::with_defaults();
         registry.register(ChaosAction::new("Saboteur", ChaosMode::Panic));
-        let report = run_actions_report(&registry, &ctx, None, None);
+        let report =
+            run_pass(&registry, pass_ctx(frame(40), LuxConfig::default())).collect_report();
         assert!(report.results.iter().all(|r| r.action != "Saboteur"));
         assert!(report.results.iter().any(|r| r.action == "Correlation"));
         match report.status_of("Saboteur") {
@@ -1073,34 +1103,24 @@ mod tests {
 
     #[test]
     fn erroring_action_health_carries_generation_error() {
-        let (df, meta, config) = fixture(40);
-        let ctx = ActionContext {
-            df: &df,
-            meta: &meta,
-            intent: &[],
-            intent_specs: &[],
-            config: &config,
-        };
         let mut registry = ActionRegistry::new();
         registry.register(ChaosAction::new("Erratic", ChaosMode::Error));
-        let report = run_actions_report(&registry, &ctx, None, None);
+        let report =
+            run_pass(&registry, pass_ctx(frame(40), LuxConfig::default())).collect_report();
         assert!(report.results.is_empty());
-        let status = report.status_of("Erratic").unwrap();
+        let status = report.status_of("Erratic").expect("health entry");
         assert_eq!(status.name(), "failed");
-        assert!(status.reason().unwrap().contains("generation failed"));
+        assert!(status
+            .reason()
+            .is_some_and(|r| r.contains("generation failed")));
     }
 
     #[test]
     fn slow_action_times_out_degraded_with_partial_results() {
-        let (df, meta, mut config) = fixture(40);
-        config.action_budget = Some(Duration::from_millis(30));
-        config.r#async = false;
-        let ctx = ActionContext {
-            df: &df,
-            meta: &meta,
-            intent: &[],
-            intent_specs: &[],
-            config: &config,
+        let config = LuxConfig {
+            action_budget: Some(Duration::from_millis(30)),
+            r#async: false,
+            ..LuxConfig::default()
         };
         let mut registry = ActionRegistry::new();
         registry.register(ChaosAction::new(
@@ -1110,14 +1130,17 @@ mod tests {
                 candidates: 200,
             },
         ));
-        let report = run_actions_report(&registry, &ctx, None, None);
+        let report = run_pass(&registry, pass_ctx(frame(40), config)).collect_report();
         let r = report
             .results
             .iter()
             .find(|r| r.action == "Molasses")
             .expect("partial results");
         assert!(r.degraded);
-        assert!(r.degraded_reason.as_deref().unwrap().contains("budget"));
+        assert!(r
+            .degraded_reason
+            .as_deref()
+            .is_some_and(|r| r.contains("budget")));
         assert!(matches!(
             report.status_of("Molasses"),
             Some(ActionStatus::Degraded(_))
@@ -1126,374 +1149,37 @@ mod tests {
 
     #[test]
     fn breaker_disables_repeat_offender_then_reprobes() {
-        let (df, meta, mut config) = fixture(20);
-        config.breaker_threshold = 2;
-        config.breaker_cooldown = 2;
-        config.r#async = false;
-        let ctx = ActionContext {
-            df: &df,
-            meta: &meta,
-            intent: &[],
-            intent_specs: &[],
-            config: &config,
+        let config = LuxConfig {
+            breaker_threshold: 2,
+            breaker_cooldown: 2,
+            r#async: false,
+            ..LuxConfig::default()
         };
+        let ctx = pass_ctx(frame(20), config);
         let mut registry = ActionRegistry::new();
         // fails twice (tripping the breaker), then recovers
         registry.register(ChaosAction::scripted(
             "Flaky",
             vec![ChaosMode::Panic, ChaosMode::Panic, ChaosMode::Healthy],
         ));
+        let status = |report: &RunReport| {
+            report
+                .status_of("Flaky")
+                .map(|s| s.name())
+                .expect("Flaky always has a health entry")
+        };
         // frames 1-2: failures
         for _ in 0..2 {
-            let report = run_actions_report(&registry, &ctx, None, None);
-            assert_eq!(report.status_of("Flaky").unwrap().name(), "failed");
+            let report = run_pass(&registry, ctx.clone()).collect_report();
+            assert_eq!(status(&report), "failed");
         }
         // frame 3: breaker open -> disabled without running
-        let report = run_actions_report(&registry, &ctx, None, None);
-        assert_eq!(report.status_of("Flaky").unwrap().name(), "disabled");
+        let report = run_pass(&registry, ctx.clone()).collect_report();
+        assert_eq!(status(&report), "disabled");
         // frame 4: cooldown elapsed -> half-open probe runs and succeeds
-        let report = run_actions_report(&registry, &ctx, None, None);
-        assert_eq!(report.status_of("Flaky").unwrap().name(), "ok");
+        let report = run_pass(&registry, ctx).collect_report();
+        assert_eq!(status(&report), "ok");
         assert!(report.results.iter().any(|r| r.action == "Flaky"));
-    }
-}
-
-// ---------------------------------------------------------------------
-// Streaming (owned) execution — the ASYNC user experience
-// ---------------------------------------------------------------------
-
-/// Owned inputs for background execution (everything `Arc`'d so worker
-/// threads outlive the caller's borrows).
-#[derive(Clone)]
-pub struct OwnedContext {
-    pub df: Arc<DataFrame>,
-    pub meta: Arc<FrameMeta>,
-    pub intent: Arc<Vec<lux_intent::Clause>>,
-    pub intent_specs: Arc<Vec<VisSpec>>,
-    pub config: Arc<lux_engine::LuxConfig>,
-    pub sample: Option<Arc<DataFrame>>,
-    /// Trace attachment for the pass (the span is the parent under which
-    /// per-action spans are recorded); `None` runs untraced.
-    pub trace: Option<TraceCtx>,
-    /// Per-pass resource governor shared by every worker; `None` runs
-    /// ungoverned (no budget enforcement).
-    pub governor: Option<Arc<BudgetHandle>>,
-    /// Admission slot held for the duration of the pass. The collector
-    /// thread takes ownership so the slot is released only once every
-    /// action has settled (or been abandoned), not when the caller's
-    /// stack frame unwinds.
-    pub permit: Option<Arc<lux_engine::AdmissionPermit>>,
-}
-
-impl OwnedContext {
-    fn action_context(&self) -> ActionContext<'_> {
-        ActionContext {
-            df: &self.df,
-            meta: &self.meta,
-            intent: &self.intent,
-            intent_specs: &self.intent_specs,
-            config: &self.config,
-        }
-    }
-}
-
-/// A recommendation run streaming results from background workers.
-///
-/// This is the ASYNC optimization as the user experiences it (paper §8.2):
-/// "recommendation results can be streamed into the frontend widget as the
-/// computation for each action completes ... instead of incurring a high
-/// wait time". Results arrive on one channel, per-action health on another;
-/// a collector thread enforces the hard wall-clock cutoff — workers that
-/// outlive it are abandoned (they finish on their own and their sends fail
-/// harmlessly) and reported as failed. Dropping the handle likewise
-/// detaches everything cleanly.
-pub struct StreamingRun {
-    results: mpsc::Receiver<ActionResult>,
-    health: mpsc::Receiver<ActionHealth>,
-    expected: usize,
-}
-
-impl StreamingRun {
-    /// Receive the next completed action (blocks). `None` once all done.
-    pub fn next_result(&self) -> Option<ActionResult> {
-        self.results.recv().ok()
-    }
-
-    /// Non-blocking poll.
-    pub fn try_next(&self) -> Option<ActionResult> {
-        self.results.try_recv().ok()
-    }
-
-    /// Receive the next health entry (blocks; entries arrive as actions
-    /// settle). `None` once the run is complete.
-    pub fn next_health(&self) -> Option<ActionHealth> {
-        self.health.recv().ok()
-    }
-
-    /// Non-blocking health poll.
-    pub fn try_next_health(&self) -> Option<ActionHealth> {
-        self.health.try_recv().ok()
-    }
-
-    /// How many actions were dispatched (disabled actions are not).
-    pub fn expected(&self) -> usize {
-        self.expected
-    }
-
-    /// Drain everything (blocks until all workers finish or the hard cutoff
-    /// abandons them) and return results plus the health ledger.
-    pub fn collect_report(self) -> RunReport {
-        let mut results: Vec<ActionResult> = self.results.iter().collect();
-        results.sort_by(|a, b| lux_engine::cmp_cost_asc(a.estimated_cost, b.estimated_cost));
-        let health = self.health.iter().collect();
-        RunReport { results, health }
-    }
-
-    /// Drain every remaining result (blocks until all workers finish).
-    pub fn collect_all(self) -> Vec<ActionResult> {
-        self.collect_report().results
-    }
-
-    /// A run that was refused admission: no actions dispatched, channels
-    /// already closed, and a single health entry carrying the shed reason
-    /// so report consumers see *why* nothing ran instead of an empty
-    /// report that looks like success.
-    pub fn shed(reason: &str) -> StreamingRun {
-        let (_results_tx, results) = mpsc::channel::<ActionResult>();
-        let (health_tx, health) = mpsc::channel::<ActionHealth>();
-        let _ = health_tx.send(ActionHealth::new(
-            "recommendations",
-            ActionStatus::Failed(format!("shed by admission control: {reason}")),
-        ));
-        StreamingRun {
-            results,
-            health,
-            expected: 0,
-        }
-    }
-}
-
-/// Dispatch every applicable action onto its own detached worker thread,
-/// returning immediately with a [`StreamingRun`]. Results arrive in
-/// completion order — cheap actions naturally finish first, giving the
-/// paper's cheapest-first experience without blocking dispatch on a
-/// cost pre-pass (which would re-introduce a hang window: on this path even
-/// `generate` runs on the worker, so a hung action cannot stall the caller).
-///
-/// A detached collector enforces the hard cutoff at
-/// `action_budget × CostModel::HARD_CUTOFF_FACTOR`: actions still running
-/// then are abandoned, reported as failed, and charged to their breaker.
-pub fn run_actions_streaming(registry: &ActionRegistry, owned: OwnedContext) -> StreamingRun {
-    let breaker = Arc::clone(registry.breaker());
-    breaker.begin_frame();
-    let threshold = owned.config.breaker_threshold;
-    let hard_budget = owned
-        .config
-        .action_budget
-        .map(|base| base * CostModel::HARD_CUTOFF_FACTOR);
-
-    // Applicability checks and the breaker gate run on the caller: both are
-    // metadata-only (no user compute) and must see the registry borrow.
-    let mut pre_health: Vec<ActionHealth> = Vec::new();
-    let mut runnable: Vec<Arc<dyn Action>> = Vec::new();
-    {
-        let ctx = owned.action_context();
-        for action in registry.applicable(&ctx) {
-            match breaker.decision(action.name(), owned.config.breaker_cooldown) {
-                BreakerDecision::Skip(reason) => {
-                    MetricsRegistry::global().incr(metric::ACTIONS_DISABLED);
-                    if let Some(t) = &owned.trace {
-                        let id = t
-                            .collector
-                            .begin(Some(t.span), &format!("action:{}", action.name()));
-                        t.collector.tag(id, "status", "disabled");
-                        t.collector.end(id);
-                    }
-                    pre_health.push(ActionHealth::new(
-                        action.name(),
-                        ActionStatus::Disabled(reason),
-                    ));
-                }
-                BreakerDecision::Run | BreakerDecision::Probe => runnable.push(action),
-            }
-        }
-    }
-
-    type Outcome = std::result::Result<Option<ActionResult>, ActionError>;
-    let (worker_tx, worker_rx) = mpsc::channel::<(String, Outcome)>();
-    let (results_tx, results_rx) = mpsc::channel::<ActionResult>();
-    let (health_tx, health_rx) = mpsc::channel::<ActionHealth>();
-    let expected = runnable.len();
-    // name → per-action span (queued at dispatch; ended when the collector
-    // settles the action, or tagged abandoned at the hard cutoff).
-    let mut outstanding: HashMap<String, Option<SpanId>> = HashMap::new();
-    let trace_collector = owned.trace.as_ref().map(|t| Arc::clone(&t.collector));
-
-    for (order, action) in runnable.into_iter().enumerate() {
-        let action_trace = owned.trace.as_ref().map(|t| {
-            let id = t
-                .collector
-                .begin(Some(t.span), &format!("action:{}", action.name()));
-            t.collector.tag(id, "sched.order", order.to_string());
-            TraceCtx::new(Arc::clone(&t.collector), id)
-        });
-        outstanding.insert(
-            action.name().to_string(),
-            action_trace.as_ref().map(|t| t.span),
-        );
-        let owned = owned.clone();
-        let worker_tx = worker_tx.clone();
-        // Detached-lane pool task rather than a dedicated thread: cheap
-        // actions reuse warm threads instead of paying a spawn each, while
-        // a task abandoned at the hard cutoff only parks its own lane
-        // thread — it can never occupy the fixed work-stealing workers that
-        // run the per-vis fan-out inside healthy actions.
-        lux_engine::pool::global().spawn_detached(Box::new(move || {
-            if let Some(t) = &action_trace {
-                t.tag(
-                    "sched.worker",
-                    match lux_engine::worker_index() {
-                        Some(w) => w.to_string(),
-                        None => "caller".to_string(),
-                    },
-                );
-            }
-            let model = CostModel::default();
-            let ctx = owned.action_context();
-            let outcome = execute_action_governed(
-                action.as_ref(),
-                &ctx,
-                owned.sample.as_deref(),
-                &model,
-                action_trace.as_ref(),
-                owned.governor.as_ref(),
-            );
-            let name = action.name().to_string();
-            // Release this worker's context clone — and with it its
-            // governor/ledger handle — *before* signaling completion. The
-            // collector may settle the pass the instant this send lands,
-            // and the caller's budget drop must then be the last one so
-            // the global ledger reflects the pass's exit synchronously.
-            drop(ctx);
-            drop(action);
-            drop(owned);
-            let _ = worker_tx.send((name, outcome));
-        }));
-    }
-    drop(worker_tx);
-
-    // The collector owns the breaker bookkeeping so health stays correct
-    // even when the consumer drops the StreamingRun without draining it.
-    // It also owns the admission permit: the session slot stays occupied
-    // until every action settles, even if the caller returns immediately.
-    let permit = owned.permit.clone();
-    std::thread::spawn(move || {
-        let _permit = permit;
-        for h in pre_health {
-            let _ = health_tx.send(h);
-        }
-        let cutoff = hard_budget.map(|b| clock::now() + b);
-        while !outstanding.is_empty() {
-            let received = match cutoff {
-                Some(at) => {
-                    let Some(left) = at
-                        .checked_duration_since(clock::now())
-                        .filter(|d| !d.is_zero())
-                    else {
-                        break; // hard cutoff reached
-                    };
-                    match worker_rx.recv_timeout(left) {
-                        Ok(msg) => Some(msg),
-                        Err(mpsc::RecvTimeoutError::Timeout) => break,
-                        Err(mpsc::RecvTimeoutError::Disconnected) => None,
-                    }
-                }
-                None => worker_rx.recv().ok(),
-            };
-            let Some((name, outcome)) = received else {
-                // a worker died without reporting (should be unreachable:
-                // all action code is isolated) — fall through to cleanup
-                break;
-            };
-            let span = outstanding.remove(&name).flatten();
-            let tripped = match &outcome {
-                Ok(_) => {
-                    breaker.record_success(&name);
-                    false
-                }
-                Err(err) => breaker.record_failure(&name, &err.to_string(), threshold),
-            };
-            settle_observability(
-                &outcome,
-                tripped,
-                trace_collector
-                    .as_deref()
-                    .and_then(|c| span.map(|id| (c, id))),
-            );
-            match outcome {
-                Ok(Some(result)) => {
-                    let _ = health_tx.send(ActionHealth::new(&name, delivery_status(&result)));
-                    let _ = results_tx.send(result);
-                }
-                Ok(None) => {}
-                Err(err) => {
-                    let _ = health_tx.send(ActionHealth::new(
-                        &name,
-                        ActionStatus::Failed(err.to_string()),
-                    ));
-                }
-            }
-        }
-        // Anything still outstanding was hung (or its worker died): abandon
-        // it, charge its breaker, and surface the failure.
-        for (name, span) in outstanding {
-            let reason = match hard_budget {
-                Some(b) => format!("exceeded hard deadline ({b:?}); worker abandoned"),
-                None => "worker terminated without reporting".to_string(),
-            };
-            let tripped = breaker.record_failure(&name, &reason, threshold);
-            let metrics = MetricsRegistry::global();
-            metrics.incr(metric::ACTIONS_FAILED);
-            if tripped {
-                metrics.incr(metric::BREAKER_TRIPS);
-            }
-            if let (Some(collector), Some(id)) = (trace_collector.as_deref(), span) {
-                collector.tag(id, "status", "abandoned");
-                collector.tag(id, "error", reason.clone());
-                collector.end(id);
-            }
-            let _ = health_tx.send(ActionHealth::new(&name, ActionStatus::Failed(reason)));
-        }
-    });
-
-    StreamingRun {
-        results: results_rx,
-        health: health_rx,
-        expected,
-    }
-}
-
-#[cfg(test)]
-mod streaming_tests {
-    use super::*;
-    use crate::action::ActionRegistry;
-    use crate::fault::{ChaosAction, ChaosMode};
-    use std::collections::HashMap;
-    use std::time::Duration;
-
-    fn owned_fixture(df: DataFrame, config: LuxConfig) -> OwnedContext {
-        let meta = FrameMeta::compute(&df, &HashMap::new());
-        OwnedContext {
-            df: Arc::new(df),
-            meta: Arc::new(meta),
-            intent: Arc::new(vec![]),
-            intent_specs: Arc::new(vec![]),
-            config: Arc::new(config),
-            sample: None,
-            trace: None,
-            governor: None,
-            permit: None,
-        }
     }
 
     #[test]
@@ -1503,9 +1189,9 @@ mod streaming_tests {
             .float("b", (0..200).map(|i| (i * 3 % 17) as f64))
             .str("g", (0..200).map(|i| if i % 2 == 0 { "x" } else { "y" }))
             .build()
-            .unwrap();
+            .expect("frame");
         let registry = ActionRegistry::with_defaults();
-        let run = run_actions_streaming(&registry, owned_fixture(df, LuxConfig::default()));
+        let run = run_pass(&registry, pass_ctx(df, LuxConfig::default()));
         let expected = run.expected();
         assert!(expected >= 3);
         let report = run.collect_report();
@@ -1522,9 +1208,9 @@ mod streaming_tests {
         let df = DataFrameBuilder::new()
             .float("a", (0..50).map(|i| i as f64))
             .build()
-            .unwrap();
+            .expect("frame");
         let registry = ActionRegistry::with_defaults();
-        let run = run_actions_streaming(&registry, owned_fixture(df, LuxConfig::default()));
+        let run = run_pass(&registry, pass_ctx(df, LuxConfig::default()));
         let _first = run.next_result();
         drop(run); // workers keep running; their sends fail silently
     }
@@ -1534,16 +1220,18 @@ mod streaming_tests {
         let df = DataFrameBuilder::new()
             .float("a", (0..50).map(|i| i as f64))
             .build()
-            .unwrap();
-        let mut config = LuxConfig::default();
-        config.action_budget = Some(Duration::from_millis(40));
+            .expect("frame");
+        let config = LuxConfig {
+            action_budget: Some(Duration::from_millis(40)),
+            ..LuxConfig::default()
+        };
         let mut registry = ActionRegistry::with_defaults();
         registry.register(ChaosAction::new(
             "Sleeper",
             ChaosMode::Hang(Duration::from_secs(30)),
         ));
         let start = clock::now();
-        let report = run_actions_streaming(&registry, owned_fixture(df, config)).collect_report();
+        let report = run_pass(&registry, pass_ctx(df, config)).collect_report();
         // returned in ~hard-cutoff time, not the 30 s hang
         assert!(clock::elapsed(start) < Duration::from_secs(5));
         assert!(report.results.iter().all(|r| r.action != "Sleeper"));
@@ -1552,6 +1240,6 @@ mod streaming_tests {
             .status_of("Sleeper")
             .expect("health entry for hung action");
         assert_eq!(status.name(), "failed");
-        assert!(status.reason().unwrap().contains("hard deadline"));
+        assert!(status.reason().is_some_and(|r| r.contains("hard deadline")));
     }
 }

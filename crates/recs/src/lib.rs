@@ -2,8 +2,9 @@
 //!
 //! The recommendation layer: the action framework (paper §7.2), the four
 //! default action classes of Table 1, interestingness scoring, and the
-//! executor that applies PRUNE (approximate two-pass top-k) inside each
-//! action and ASYNC (cost-based cheapest-first scheduling) across actions.
+//! single executor ([`run_pass`]) that applies PRUNE (approximate two-pass
+//! top-k) inside each action and ASYNC (results streamed as each action
+//! completes) across actions.
 
 pub mod action;
 pub mod fault;
@@ -22,11 +23,7 @@ pub use action::{
 pub use fault::{
     ActionError, ActionHealth, ActionStatus, ChaosAction, ChaosMode, CircuitBreaker, RunReport,
 };
-pub use generate::{
-    execute_action, execute_action_governed, execute_action_guarded, execute_action_traced,
-    run_actions, run_actions_report, run_actions_report_governed, run_actions_report_traced,
-    run_actions_streaming, OwnedContext, StreamingRun, TraceCtx,
-};
+pub use generate::{execute_action, run_pass, PassCtx, StreamingRun, TraceCtx};
 
 /// Every default action of Table 1, in taxonomy order.
 pub fn default_actions() -> Vec<Arc<dyn Action>> {

@@ -1,8 +1,10 @@
 //! Parallel determinism suite (DESIGN.md §9): the recommendation output of
-//! a print pass must not depend on the parallelism degree. Every test here
-//! runs the identical workload under `threads = 1` and `threads = 8` and
-//! requires bit-identical results — action lists, spec order, scores,
-//! degradation flags, governor notes — plus identical metrics-counter
+//! a print pass must not depend on the parallelism degree or on how its
+//! actions were dispatched. Every test here runs the identical workload
+//! under `threads = 1` and `threads = 8` (and, where noted, with ASYNC's
+//! detached dispatch on and off) and requires bit-identical results —
+//! action lists, spec order, scores, degradation flags, governor notes,
+//! the health ledger in delivered order — plus identical metrics-counter
 //! deltas for the pipeline's own accounting.
 //!
 //! Frames are rebuilt (not cloned) between runs: clones share freshness
@@ -41,11 +43,14 @@ struct PassOutput {
     degraded: Vec<(bool, Option<String>)>,
     /// The pass's governor summary line (None when fully exact).
     governor: Option<String>,
+    /// The health ledger, in the order the pass delivered it.
+    health: Vec<String>,
 }
 
-fn run_pass(df: DataFrame, threads: usize) -> PassOutput {
+fn run_pass(df: DataFrame, threads: usize, r#async: bool) -> PassOutput {
     let config = LuxConfig {
         threads,
+        r#async,
         ..LuxConfig::all_opt()
     };
     let ldf = LuxDataFrame::with_config(df, Arc::new(config));
@@ -74,6 +79,7 @@ fn run_pass(df: DataFrame, threads: usize) -> PassOutput {
             .map(|r| (r.degraded, r.degraded_reason.clone()))
             .collect(),
         governor: widget.governor_note().map(str::to_string),
+        health: widget.health().iter().map(|h| h.to_string()).collect(),
     }
 }
 
@@ -88,12 +94,13 @@ proptest! {
     #[test]
     fn adversarial_frames_print_identically_at_any_thread_count(df in adversarial_frame()) {
         let _guard = lock();
-        let sequential = run_pass(rebuild(&df), 1);
-        let parallel = run_pass(rebuild(&df), 8);
+        let sequential = run_pass(rebuild(&df), 1, true);
+        let parallel = run_pass(rebuild(&df), 8, true);
         prop_assert_eq!(&sequential.actions, &parallel.actions, "action schedule diverged");
         prop_assert_eq!(&sequential.vislists, &parallel.vislists, "vis ranking diverged");
         prop_assert_eq!(&sequential.degraded, &parallel.degraded, "degradation diverged");
         prop_assert_eq!(&sequential.governor, &parallel.governor, "governor events diverged");
+        prop_assert_eq!(&sequential.health, &parallel.health, "health ledger diverged");
     }
 }
 
@@ -101,8 +108,8 @@ proptest! {
 fn structured_frame_prints_identically_at_any_thread_count() {
     let _guard = lock();
     let df = lux::workloads::synthetic_wide(10, 2_000, 42);
-    let sequential = run_pass(rebuild(&df), 1);
-    let parallel = run_pass(rebuild(&df), 8);
+    let sequential = run_pass(rebuild(&df), 1, true);
+    let parallel = run_pass(rebuild(&df), 8, true);
     assert_eq!(sequential, parallel);
     assert!(
         !sequential.actions.is_empty(),
@@ -125,7 +132,7 @@ fn pipeline_counters_are_thread_count_invariant() {
     let mut deltas: Vec<Vec<u64>> = Vec::new();
     for threads in [1usize, 8] {
         let before: Vec<u64> = watched.iter().map(|n| metrics.counter(n)).collect();
-        let _ = run_pass(rebuild(&df), threads);
+        let _ = run_pass(rebuild(&df), threads, true);
         let after: Vec<u64> = watched.iter().map(|n| metrics.counter(n)).collect();
         deltas.push(
             before
@@ -139,4 +146,55 @@ fn pipeline_counters_are_thread_count_invariant() {
         deltas[0], deltas[1],
         "counter deltas diverged between threads=1 and threads=8 ({watched:?})"
     );
+}
+
+/// Repeated prints of one wide, governed frame settle identically whatever
+/// the thread count and whether actions run inline or on detached lanes:
+/// the health ledger and the governor events are settled in dispatch
+/// order, never in completion order.
+#[test]
+fn wide_frame_prints_identically_under_any_dispatch() {
+    let _guard = lock();
+    let watched = [
+        names::ACTIONS_OK,
+        names::ACTIONS_DEGRADED,
+        names::ACTIONS_FAILED,
+        names::ACTIONS_DISABLED,
+        names::GOVERNOR_DEGRADES,
+    ];
+    let metrics = MetricsRegistry::global();
+    let df = lux::workloads::synthetic_wide(40, 5_000, 7);
+    let mut outputs: Vec<PassOutput> = Vec::new();
+    // (async, counter deltas) per print.
+    let mut deltas: Vec<(bool, Vec<u64>)> = Vec::new();
+    for round in 0..10 {
+        let threads = if round % 2 == 0 { 1 } else { 8 };
+        let is_async = round % 4 < 2;
+        let before: Vec<u64> = watched.iter().map(|n| metrics.counter(n)).collect();
+        outputs.push(run_pass(rebuild(&df), threads, is_async));
+        let after: Vec<u64> = watched.iter().map(|n| metrics.counter(n)).collect();
+        deltas.push((
+            is_async,
+            before
+                .iter()
+                .zip(&after)
+                .map(|(b, a)| a.saturating_sub(*b))
+                .collect(),
+        ));
+    }
+    let degraded = outputs[0].degraded.iter().filter(|(d, _)| *d).count();
+    assert!(
+        degraded >= 2,
+        "the wide frame must degrade several actions, got {degraded}"
+    );
+    for (round, output) in outputs.iter().enumerate().skip(1) {
+        assert_eq!(&outputs[0], output, "print {round} diverged from print 0");
+    }
+    for (is_async, delta) in &deltas[1..] {
+        assert_eq!(
+            delta, &deltas[0].1,
+            "counter deltas diverged (async {is_async} vs {}; {watched:?})",
+            deltas[0].0
+        );
+    }
 }
